@@ -184,9 +184,9 @@ def _grid_options(args):
     """Fold the crash-safety flags into (supervision, journal).
 
     Any of ``--cell-timeout``/``--run-deadline``/``--grid-retries``
-    switches the grid to the supervised engine; ``--resume`` alone does
-    too (a journal only makes sense with checkpointing on). With none of
-    the flags the seed fail-fast path runs, byte for byte.
+    builds a supervision policy; ``--resume`` alone does too (a journal
+    only makes sense with checkpointing on). With none of the flags the
+    grid runs with the default policy and raises its first failed cell.
     """
     from repro.parallel import GridPolicy
 
@@ -474,14 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="bundle K consecutive grid cells into one worker task "
             "(default 1; cuts per-task dispatch overhead; results are "
             "bit-identical)",
-        )
-        grid_cmd.add_argument(
-            "--pool-mode",
-            choices=("persistent", "fresh"),
-            default="persistent",
-            help="worker pool lifecycle: 'persistent' keeps a warmed pool "
-            "alive and reuses it across grids in one process, 'fresh' "
-            "builds and tears down a pool per grid (default persistent)",
         )
         grid_cmd.add_argument(
             "--resume",
@@ -960,7 +952,6 @@ def _command_campaign(args) -> int:
         supervision=supervision,
         journal=journal,
         batch_cells=args.batch_cells,
-        pool_mode=args.pool_mode,
     )
     print(render_campaign(outcome))
     if args.out:
@@ -1096,7 +1087,6 @@ def _dispatch_command(args) -> int:
                 supervision=supervision,
                 journal=journal,
                 batch_cells=args.batch_cells,
-                pool_mode=args.pool_mode,
             ),
             path=args.out,
         )
@@ -1111,7 +1101,7 @@ def _dispatch_command(args) -> int:
         supervision, journal = _grid_options(args)
         verdicts = run_table1(
             seed=args.seed, jobs=args.jobs, supervision=supervision, journal=journal,
-            batch_cells=args.batch_cells, pool_mode=args.pool_mode,
+            batch_cells=args.batch_cells,
         )
         print(render_table1(verdicts))
         return 1 if any(verdict.grid_failed for verdict in verdicts) else 0
@@ -1124,7 +1114,7 @@ def _dispatch_command(args) -> int:
         supervision, journal = _grid_options(args)
         points = run_figure2(
             seed=args.seed, jobs=args.jobs, supervision=supervision, journal=journal,
-            batch_cells=args.batch_cells, pool_mode=args.pool_mode,
+            batch_cells=args.batch_cells,
         )
         print(render_figure2(points))
         return 1 if any(isinstance(point, CellFailure) for point in points) else 0
@@ -1139,7 +1129,6 @@ def _dispatch_command(args) -> int:
             supervision=supervision,
             journal=journal,
             batch_cells=args.batch_cells,
-            pool_mode=args.pool_mode,
         )
         print(render_table3(rows))
         return 1 if any(isinstance(row, CellFailure) for row in rows) else 0

@@ -24,9 +24,16 @@ from repro.baselines.drama import DramaConfig, DramaTool
 from repro.core.dramdig import DramDig, DramDigConfig
 from repro.dram.belief import BeliefMapping
 from repro.dram.presets import preset
-from repro.evalsuite.reporting import render_table
+from repro.evalsuite.gridrun import execute_grid
+from repro.evalsuite.reporting import render_failure_manifest, render_table
 from repro.machine.machine import SimulatedMachine
-from repro.parallel import DEFAULT_START_METHOD, GridCell, resolve_jobs, run_cells
+from repro.parallel import (
+    DEFAULT_START_METHOD,
+    CellFailure,
+    CheckpointJournal,
+    GridCell,
+    GridPolicy,
+)
 
 __all__ = ["DeterminismRow", "run_determinism", "render_determinism"]
 
@@ -45,6 +52,8 @@ class DeterminismRow:
             output.
         correct_fraction: share of completed runs hammer-equivalent to the
             ground truth.
+        failures: :class:`~repro.parallel.CellFailure` records of runs the
+            supervised grid gave up on.
     """
 
     tool: str
@@ -55,6 +64,7 @@ class DeterminismRow:
     modal_fraction: float = 0.0
     correct_fraction: float = 0.0
     outputs: Counter = field(default_factory=Counter)
+    failures: list = field(default_factory=list)
 
 
 def _canonical(belief: BeliefMapping) -> tuple:
@@ -62,11 +72,13 @@ def _canonical(belief: BeliefMapping) -> tuple:
     return (basis, belief.row_bits)
 
 
-def dramdig_run_cell(machine_name: str, seed: int) -> dict:
+def dramdig_run_cell(
+    machine_name: str, seed: int, dramdig_config: DramDigConfig | None = None
+) -> dict:
     """One DRAMDig run: canonical output + ground-truth equivalence."""
     truth = preset(machine_name).mapping
     machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed)
-    result = DramDig().run(machine)
+    result = DramDig(dramdig_config).run(machine)
     belief = BeliefMapping.from_mapping(result.mapping)
     return {
         "canonical": _canonical(belief),
@@ -74,11 +86,16 @@ def dramdig_run_cell(machine_name: str, seed: int) -> dict:
     }
 
 
-def drama_run_cell(machine_name: str, seed: int, tool_seed: int) -> dict | None:
+def drama_run_cell(
+    machine_name: str,
+    seed: int,
+    tool_seed: int,
+    drama_config: DramaConfig | None = None,
+) -> dict | None:
     """One DRAMA run; ``None`` when the run times out without a belief."""
     truth = preset(machine_name).mapping
     machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed)
-    result = DramaTool(None, seed=tool_seed).run(machine)
+    result = DramaTool(drama_config, seed=tool_seed).run(machine)
     if result.belief is None:
         return None
     return {
@@ -89,9 +106,17 @@ def drama_run_cell(machine_name: str, seed: int, tool_seed: int) -> dict | None:
 
 def _fold_rows(tool: str, machine_name: str, runs: int, records) -> DeterminismRow:
     """Aggregate per-run records in run order (Counter insertion order and
-    tie-breaking therefore match the original serial loop exactly)."""
+    tie-breaking therefore match the original serial loop exactly).
+
+    A ``None`` record (DRAMA timed out) and a
+    :class:`~repro.parallel.CellFailure` slot (the grid gave up on the
+    cell) both count as not completed.
+    """
     row = DeterminismRow(tool=tool, machine=machine_name, runs=runs)
     for record in records:
+        if isinstance(record, CellFailure):
+            row.failures.append(record)
+            continue
         if record is None:
             continue
         row.completed += 1
@@ -112,6 +137,9 @@ def run_determinism(
     drama_config: DramaConfig | None = None,
     jobs: int | None = None,
     start_method: str = DEFAULT_START_METHOD,
+    supervision: GridPolicy | None = None,
+    journal: CheckpointJournal | str | None = None,
+    batch_cells: int | None = None,
 ) -> list[DeterminismRow]:
     """Repeated-run study of DRAMDig and DRAMA on one machine.
 
@@ -122,61 +150,42 @@ def run_determinism(
     real machine sees fresh noise; DRAMDig's output must survive that,
     DRAMA's does not.
 
-    One grid cell per (tool, run); ``jobs`` > 1 fans them out to worker
-    processes with bit-identical aggregation (records fold in run order).
-    ``dramdig_config``/``drama_config`` must be ``None`` when ``jobs`` > 1
-    (cells rebuild default configs; non-default configs are a serial-only
-    convenience kept for the test-suite).
+    One grid cell per (tool, run), dispatched through
+    :func:`~repro.evalsuite.gridrun.execute_grid`: ``jobs`` > 1 fans them
+    out to worker processes with bit-identical aggregation (records fold
+    in run order), and ``supervision``/``journal``/``batch_cells`` behave
+    as for every other experiment grid.
     """
-    if jobs is not None and resolve_jobs(jobs) > 1 and (dramdig_config or drama_config):
-        raise ValueError("custom tool configs are not supported with jobs > 1")
-    if dramdig_config or drama_config:
-        truth = preset(machine_name).mapping
-        dramdig_records = []
-        for run in range(runs):
-            machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed + run)
-            belief = BeliefMapping.from_mapping(DramDig(dramdig_config).run(machine).mapping)
-            dramdig_records.append(
-                {"canonical": _canonical(belief), "correct": bool(belief.hammer_equivalent(truth))}
-            )
-        drama_records = []
-        for run in range(runs):
-            machine = SimulatedMachine.from_preset(preset(machine_name), seed=seed + run)
-            result = DramaTool(drama_config, seed=seed * 1000 + run).run(machine)
-            if result.belief is None:
-                drama_records.append(None)
-            else:
-                drama_records.append(
-                    {
-                        "canonical": _canonical(result.belief),
-                        "correct": bool(result.belief.hammer_equivalent(truth)),
-                    }
-                )
-    else:
-        cells = [
-            GridCell(
-                "repro.evalsuite.determinism:dramdig_run_cell",
-                {"machine_name": machine_name, "seed": seed + run},
-            )
-            for run in range(runs)
-        ] + [
-            GridCell(
-                "repro.evalsuite.determinism:drama_run_cell",
-                {
-                    "machine_name": machine_name,
-                    "seed": seed + run,
-                    "tool_seed": seed * 1000 + run,
-                },
-            )
-            for run in range(runs)
-        ]
-        records = run_cells(cells, jobs=jobs, start_method=start_method)
-        dramdig_records = records[:runs]
-        drama_records = records[runs:]
-
+    cells = [
+        GridCell(
+            "repro.evalsuite.determinism:dramdig_run_cell",
+            {
+                "machine_name": machine_name,
+                "seed": seed + run,
+                "dramdig_config": dramdig_config,
+            },
+        )
+        for run in range(runs)
+    ] + [
+        GridCell(
+            "repro.evalsuite.determinism:drama_run_cell",
+            {
+                "machine_name": machine_name,
+                "seed": seed + run,
+                "tool_seed": seed * 1000 + run,
+                "drama_config": drama_config,
+            },
+        )
+        for run in range(runs)
+    ]
+    records = execute_grid(
+        cells, jobs=jobs, start_method=start_method,
+        supervision=supervision, journal=journal,
+        batch_cells=batch_cells,
+    )
     return [
-        _fold_rows("DRAMDig", machine_name, runs, dramdig_records),
-        _fold_rows("DRAMA", machine_name, runs, drama_records),
+        _fold_rows("DRAMDig", machine_name, runs, records[:runs]),
+        _fold_rows("DRAMA", machine_name, runs, records[runs:]),
     ]
 
 
@@ -201,4 +210,8 @@ def render_determinism(rows: list[DeterminismRow]) -> str:
         ]
         for row in rows
     ]
-    return render_table(headers, body)
+    table = render_table(headers, body)
+    failures = [failure for row in rows for failure in row.failures]
+    if failures:
+        table += "\n\n" + render_failure_manifest(failures)
+    return table

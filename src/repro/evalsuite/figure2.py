@@ -82,7 +82,6 @@ def run_figure2(
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | None = None,
     batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> list[Figure2Point | CellFailure]:
     """Measure both tools' simulated time cost on every machine.
 
@@ -107,7 +106,7 @@ def run_figure2(
     return execute_grid(
         cells, jobs=jobs, start_method=start_method,
         supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        batch_cells=batch_cells,
     )
 
 

@@ -41,14 +41,12 @@ class ReportConfig:
         jobs: worker processes for each experiment grid (None/1 = serial;
             results are bit-identical either way).
         supervision: crash-safe grid policy for the experiment grids
-            (None = seed fail-fast behaviour). Failed cells render as
+            (None = raise the first failed cell). Failed cells render as
             ``FAILED(reason)`` entries instead of aborting the report.
         journal: checkpoint journal (instance or path) shared by the
             experiment grids; completed cells are skipped on ``--resume``.
         batch_cells: consecutive grid cells bundled per worker task
             (None/1 = one cell per task; results stay bit-identical).
-        pool_mode: ``persistent`` reuses a warmed worker pool across the
-            report's grids, ``fresh`` builds and tears one down per grid.
     """
 
     seed: int = 1
@@ -64,7 +62,6 @@ class ReportConfig:
     supervision: GridPolicy | None = None
     journal: CheckpointJournal | str | None = None
     batch_cells: int | None = None
-    pool_mode: str = "persistent"
 
 
 def generate_report(
@@ -98,7 +95,6 @@ def generate_report(
                 supervision=config.supervision,
                 journal=journal,
                 batch_cells=config.batch_cells,
-                pool_mode=config.pool_mode,
             )
         ),
         "```",
@@ -132,7 +128,6 @@ def generate_report(
                 supervision=config.supervision,
                 journal=journal,
                 batch_cells=config.batch_cells,
-                pool_mode=config.pool_mode,
             )
         ),
         "```",
@@ -155,7 +150,6 @@ def generate_report(
                 supervision=config.supervision,
                 journal=journal,
                 batch_cells=config.batch_cells,
-                pool_mode=config.pool_mode,
             )
         ),
         "```",
@@ -174,6 +168,9 @@ def generate_report(
                 dramdig_config=config.dramdig,
                 drama_config=config.drama,
                 jobs=config.jobs,
+                supervision=config.supervision,
+                journal=journal,
+                batch_cells=config.batch_cells,
             )
         ),
         "```",

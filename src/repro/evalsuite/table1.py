@@ -82,7 +82,6 @@ def run_table1(
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | None = None,
     batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> list[ToolVerdict]:
     """Measure Table I's properties for all four tools.
 
@@ -123,7 +122,7 @@ def run_table1(
     results = execute_grid(
         cells, jobs=jobs, start_method=start_method,
         supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        batch_cells=batch_cells,
     )
     panel = len(machines)
     xiao_records = results[:panel]

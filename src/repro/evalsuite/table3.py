@@ -112,7 +112,6 @@ def run_table3(
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | None = None,
     batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> list[Table3Row | CellFailure]:
     """Run the paper's rowhammer comparison.
 
@@ -139,7 +138,7 @@ def run_table3(
     return execute_grid(
         cells, jobs=jobs, start_method=start_method,
         supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        batch_cells=batch_cells,
     )
 
 

@@ -3,13 +3,16 @@
 A traced grid run has two halves:
 
 * **cell side** — :func:`repro.parallel.grid.execute_cell` finds the
-  reserved ``_trace_*`` payload keys this module injected, runs the cell
-  under its own fresh :class:`~repro.obs.tracing.Tracer` (one root span
-  per cell), and writes the cell's spans + metrics to a private JSONL
-  file via :func:`~repro.ioutil.atomic_write`. This works identically
-  in-process (``--jobs 1``) and in a spawned worker, because
+  reserved ``_obs`` hook that :func:`repro.evalsuite.gridrun.execute_grid`
+  injected and hands it to :func:`run_cell_observed`, which runs the
+  cell under its own fresh :class:`~repro.obs.tracing.Tracer` (one root
+  span per cell) and writes the cell's spans + metrics to a private
+  JSONL file via :func:`~repro.ioutil.atomic_write`. This works
+  identically in-process (``--jobs 1``) and in a spawned worker, because
   :func:`~repro.obs.tracing.activate` isolates the cell's span stack
-  either way — the merged trace cannot depend on where a cell ran.
+  either way — the merged trace cannot depend on where a cell ran. The
+  same hook carries the live telemetry stream path, so worker-side
+  events land in the parent's stream whether or not the run is traced.
 * **parent side** — after the grid completes, :func:`stitch_cell_traces`
   walks the cells *in submission order*, grafting each cell file under
   the grid span (ids re-allocated, paths re-prefixed, metrics folded
@@ -18,7 +21,7 @@ A traced grid run has two halves:
   :class:`~repro.parallel.supervisor.CellFailure`, recorded as a
   ``failed`` span carrying the failure's reason and attempt count.
 
-The reserved keys start with ``_`` and are therefore excluded from
+The hook key starts with ``_`` and is therefore excluded from
 :func:`~repro.parallel.grid.fingerprint_cell`: a traced run and an
 untraced run share checkpoint-journal fingerprints, so tracing can be
 turned on for a resumed run (or off for a fresh one) without
@@ -29,24 +32,18 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Sequence
+from contextlib import ExitStack
 from pathlib import Path
 
 from repro.obs.export import export_trace, load_trace
 from repro.obs.tracing import SpanRecord, Tracer, activate
 
 __all__ = [
-    "TRACE_DIR_KEY",
-    "TRACE_LABEL_KEY",
-    "TRACE_NAME_KEY",
     "cell_label",
-    "run_cell_traced",
+    "cell_trace_path",
+    "run_cell_observed",
     "stitch_cell_traces",
-    "traced_cells",
 ]
-
-TRACE_DIR_KEY = "_trace_dir"
-TRACE_NAME_KEY = "_trace_name"
-TRACE_LABEL_KEY = "_trace_label"
 
 
 def cell_label(payload: dict, index: int) -> str:
@@ -55,39 +52,38 @@ def cell_label(payload: dict, index: int) -> str:
     return str(name) if name is not None else f"cell#{index}"
 
 
-def traced_cells(cells: Sequence, trace_dir: str | Path) -> list:
-    """Copies of ``cells`` with per-cell trace destinations injected.
-
-    The injected keys are reserved (``_``-prefixed): stripped before the
-    worker function is called and ignored by cell fingerprinting.
-    """
-    directory = str(trace_dir)
-    out = []
-    for index, cell in enumerate(cells):
-        payload = dict(cell.payload)
-        payload[TRACE_DIR_KEY] = directory
-        payload[TRACE_NAME_KEY] = f"cell-{index:04d}"
-        payload[TRACE_LABEL_KEY] = cell_label(cell.payload, index)
-        out.append(dataclasses.replace(cell, payload=payload))
-    return out
+def cell_trace_path(trace_dir: str | Path, index: int) -> Path:
+    """Where cell ``index`` of a traced grid writes its span file."""
+    return Path(trace_dir) / f"cell-{index:04d}.jsonl"
 
 
-def run_cell_traced(function, kwargs: dict, payload: dict):
-    """Execute one cell under its own tracer; write its trace on success.
+def run_cell_observed(function, kwargs: dict, hook: dict):
+    """Execute one cell under the observability ``hook`` it was shipped.
 
-    The file is written only when the cell completes: a failed attempt
+    ``hook["telemetry"]`` names the live stream: the cell runs with a
+    worker-side bus active, so per-phase and per-trial events land in
+    the parent's stream. ``hook["trace"]`` names the cell's span file:
+    the cell runs under its own tracer, labelled ``hook["label"]``, and
+    the file is written only when the cell completes — a failed attempt
     leaves no partial trace behind (a supervised retry that later
     succeeds writes the successful attempt; a cell that never succeeds
     is represented by the parent as a ``failed`` span instead).
     """
-    tracer = Tracer()
-    label = payload.get(TRACE_LABEL_KEY, kwargs.get("name", "cell"))
-    with activate(tracer):
-        with tracer.span(f"cell:{label}") as scope:
-            value = function(**kwargs)
-            scope.set("task_ok", True)
-    destination = Path(payload[TRACE_DIR_KEY]) / f"{payload[TRACE_NAME_KEY]}.jsonl"
-    export_trace(destination, tracer, meta={"cell": label})
+    from repro.obs.telemetry import TelemetryBus, activate_bus
+
+    with ExitStack() as stack:
+        if "telemetry" in hook:
+            stack.enter_context(
+                activate_bus(TelemetryBus(hook["telemetry"], source="worker"))
+            )
+        if "trace" not in hook:
+            return function(**kwargs)
+        tracer = Tracer()
+        with activate(tracer):
+            with tracer.span(f"cell:{hook['label']}") as scope:
+                value = function(**kwargs)
+                scope.set("task_ok", True)
+    export_trace(hook["trace"], tracer, meta={"cell": hook["label"]})
     return value
 
 
@@ -133,7 +129,7 @@ def stitch_cell_traces(
     tally = {"executed": 0, "cached": 0, "failed": 0}
     for index, cell in enumerate(cells):
         label = cell_label(cell.payload, index)
-        source = Path(trace_dir) / f"cell-{index:04d}.jsonl"
+        source = cell_trace_path(trace_dir, index)
         if source.exists():
             cell_trace = load_trace(source)
             _graft(tracer, grid_span, cell_trace.spans)

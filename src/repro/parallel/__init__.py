@@ -9,16 +9,16 @@ order, so the parallel path is bit-identical to the serial one; the
 ``--jobs N`` flag of ``dramdig table1/figure2/table3/report`` is wired
 through here.
 
-Two runners share the cell model:
-
-* :func:`run_cells` — fail-fast: the first cell error aborts the run
-  (the seed behaviour, and still the default);
-* :func:`run_cells_supervised` — crash-safe: per-cell retry with
-  backoff, worker-death detection with pool respawn, per-cell timeouts,
-  a whole-run deadline, and an atomic checkpoint journal that lets an
-  interrupted run resume without re-executing finished cells
-  (``--resume``/``--cell-timeout``/``--run-deadline``/``--grid-retries``
-  on the CLI).
+One engine runs the cells, :func:`run_cells_supervised`, serially or
+over a warmed, reused worker pool: per-cell retry with backoff,
+worker-death detection with pool respawn, per-cell timeouts, a
+whole-run deadline, and an atomic checkpoint journal that lets an
+interrupted run resume without re-executing finished cells
+(``--resume``/``--cell-timeout``/``--run-deadline``/``--grid-retries``
+on the CLI). With no policy and no journal,
+:func:`repro.evalsuite.gridrun.execute_grid` raises the first failed
+cell as a :class:`CellExecutionError` — the fail-fast contract of a
+plain run.
 """
 
 from repro.parallel.batching import (
@@ -34,11 +34,9 @@ from repro.parallel.grid import (
     fingerprint_cell,
     fingerprint_payload,
     resolve_jobs,
-    run_cells,
 )
 from repro.parallel.journal import CheckpointJournal
 from repro.parallel.pool import (
-    POOL_MODES,
     PoolManager,
     get_pool_manager,
     worker_state,
@@ -53,7 +51,6 @@ from repro.parallel.supervisor import (
 
 __all__ = [
     "DEFAULT_START_METHOD",
-    "POOL_MODES",
     "CellExecutionError",
     "CellFailure",
     "CheckpointJournal",
@@ -70,7 +67,6 @@ __all__ = [
     "get_pool_manager",
     "resolve_batch_cells",
     "resolve_jobs",
-    "run_cells",
     "run_cells_supervised",
     "worker_state",
 ]

@@ -1,4 +1,4 @@
-"""Process-pool grid runner with deterministic, ordered reassembly.
+"""Grid cell model: deterministic, spawn-safe units of evaluation work.
 
 Design constraints, in order of importance:
 
@@ -18,12 +18,12 @@ Design constraints, in order of importance:
    the offending key named instead of an opaque traceback from inside the
    pool.
 3. **Serial fallback.** ``jobs=None``/``0``/``1`` executes the cells in
-   the calling process with no pool, no context, no pickling — the
-   pre-existing behaviour and cost profile, byte for byte.
+   the calling process with no pool, no context, no pickling.
 
-``run_cells`` here is the fail-fast path: the first cell error aborts the
-run. The supervised, checkpointed runner that survives worker death and
-resumes interrupted runs lives in :mod:`repro.parallel.supervisor`.
+This module holds the cell model: :class:`GridCell`, its fingerprint,
+and :func:`execute_cell`, the entry point every runner calls. The one
+engine that runs cells — serially or pooled, with retries, timeouts and
+a checkpoint journal — is :mod:`repro.parallel.supervisor`.
 """
 
 from __future__ import annotations
@@ -32,22 +32,25 @@ import hashlib
 import logging
 import os
 import pickle
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import import_module
 
 __all__ = [
     "DEFAULT_START_METHOD",
+    "OBS_KEY",
     "CellExecutionError",
     "GridCell",
     "execute_cell",
     "fingerprint_cell",
     "fingerprint_payload",
     "resolve_jobs",
-    "run_cells",
 ]
 
 DEFAULT_START_METHOD = "spawn"
+
+# The one reserved payload key: the harness's observability hook (trace
+# file, telemetry stream). ``_``-prefixed, so fingerprints ignore it.
+OBS_KEY = "_obs"
 
 # Workers only ever resolve tasks inside the package itself: a cell that
 # named an arbitrary module would turn pickled payloads into an import
@@ -157,11 +160,10 @@ def fingerprint_cell(cell: GridCell) -> str:
     what lets the checkpoint journal key completed work by fingerprint
     and lets ``--resume`` skip finished cells across process lifetimes.
 
-    Payload keys starting with ``_`` are *reserved for the harness*
-    (per-cell trace destinations injected by
-    :mod:`repro.obs.gridtrace`) and excluded: they never reach the
-    worker function, so they cannot change the result — a traced run
-    and an untraced run share journal entries.
+    Payload keys starting with ``_`` are *reserved for the harness* and
+    excluded. The harness's one such key, :data:`OBS_KEY`, never reaches
+    the worker function, so it cannot change the result — a traced or
+    streaming run and a plain run share journal entries.
     """
     return fingerprint_payload(cell.task, cell.payload)
 
@@ -214,120 +216,25 @@ def execute_cell(cell: GridCell):
     itself are wrapped in :class:`CellExecutionError` naming the cell's
     task and fingerprint, with the original exception as ``__cause__``.
 
-    Reserved ``_``-prefixed payload keys are stripped before the worker
-    function is called; when :mod:`repro.obs.gridtrace` injected a trace
-    destination, the cell runs under its own tracer and writes a per-cell
-    span file for the parent to stitch. When :mod:`repro.obs.telemetry`
-    injected a stream path, the cell runs with a worker-side telemetry
-    bus active, so per-phase and per-trial events emitted inside the
-    cell land in the same live stream the parent appends to.
+    The one harness hook is the reserved :data:`OBS_KEY` payload entry,
+    injected by :func:`repro.evalsuite.gridrun.execute_grid` when the
+    run is traced or streams telemetry. It is stripped before the worker
+    function is called, and :func:`repro.obs.gridtrace.run_cell_observed`
+    runs the cell under the tracer and/or telemetry bus it names.
     """
     module_name, _, function_name = cell.task.partition(":")
     function = getattr(import_module(module_name), function_name)
-    payload = cell.payload
-    kwargs = payload
-    reserved = None
-    if any(isinstance(key, str) and key.startswith("_") for key in payload):
-        kwargs, reserved = {}, {}
-        for key, value in payload.items():
-            (reserved if key.startswith("_") else kwargs)[key] = value
-
-    def invoke():
-        if reserved and "_trace_dir" in reserved:
-            from repro.obs.gridtrace import run_cell_traced
-
-            return run_cell_traced(function, kwargs, reserved)
-        return function(**kwargs)
-
+    kwargs = cell.payload
+    hook = kwargs.get(OBS_KEY)
     try:
-        if reserved and "_telemetry_path" in reserved:
-            from repro.obs.telemetry import TelemetryBus, activate_bus
+        if hook is None:
+            return function(**kwargs)
+        from repro.obs.gridtrace import run_cell_observed
 
-            with activate_bus(
-                TelemetryBus(reserved["_telemetry_path"], source="worker")
-            ):
-                return invoke()
-        return invoke()
+        kwargs = {key: value for key, value in kwargs.items() if key != OBS_KEY}
+        return run_cell_observed(function, kwargs, hook)
     except Exception as error:
         raise CellExecutionError(
             f"grid cell {cell.task} (fingerprint {fingerprint_cell(cell)[:12]}) "
             f"failed: {type(error).__name__}: {error}"
         ) from error
-
-
-def run_cells(
-    cells: Sequence[GridCell],
-    jobs: int | None = None,
-    start_method: str = DEFAULT_START_METHOD,
-    batch_cells: int | None = None,
-    pool_mode: str = "persistent",
-) -> list:
-    """Execute ``cells`` and return their results in submission order.
-
-    ``jobs`` <= 1 (the default) runs serially in-process. Larger values fan
-    the cells out over a warmed worker pool leased from the process-wide
-    :class:`~repro.parallel.pool.PoolManager`; ``Executor.map`` guarantees
-    result order matches cell order regardless of completion order, which
-    is what keeps rendered artefacts bit-identical to the serial path.
-    ``pool_mode="persistent"`` (the default) parks the pool after the run
-    for the next dispatch of the same shape; ``"fresh"`` reproduces the
-    historical spawn-per-dispatch behaviour.
-
-    ``batch_cells`` > 1 bundles that many consecutive cells into each
-    submitted task (see :mod:`repro.parallel.batching`), trading per-cell
-    dispatch overhead for coarser scheduling. Results are un-bundled back
-    into per-cell order, so batching never changes a byte of output.
-
-    This is the fail-fast runner: the first cell exception (in submission
-    order) propagates and aborts the run. Use
-    :func:`repro.parallel.run_cells_supervised` when a run must survive
-    worker death, hangs, or interruption.
-    """
-    from repro.parallel.batching import (
-        chunk_indices,
-        execute_cell_batch,
-        resolve_batch_cells,
-    )
-    from repro.parallel.pool import get_pool_manager
-
-    cells = list(cells)
-    workers = min(resolve_jobs(jobs), len(cells)) if cells else 1
-    if workers <= 1:
-        return [execute_cell(cell) for cell in cells]
-    batch = resolve_batch_cells(batch_cells)
-    manager = get_pool_manager()
-    pool = manager.lease(workers, start_method, pool_mode)
-    healthy = True
-    try:
-        if batch <= 1:
-            return list(pool.map(execute_cell, cells))
-        chunks = chunk_indices(range(len(cells)), batch)
-        marker_lists = list(
-            pool.map(
-                execute_cell_batch,
-                [[cells[i] for i in chunk] for chunk in chunks],
-            )
-        )
-        results: list = [None] * len(cells)
-        for chunk, markers in zip(chunks, marker_lists):
-            for index, (status, value) in zip(chunk, markers):
-                if status == "error":
-                    raise CellExecutionError(str(value))
-                results[index] = value
-        return results
-    except CellExecutionError:
-        raise  # the worker raised cleanly; its pool is still usable
-    except Exception:
-        # Anything else (a broken pool above all) may have left workers
-        # unusable; kill the pool rather than park a corpse.
-        healthy = False
-        raise
-    finally:
-        if healthy:
-            manager.release(pool, start_method, workers)
-        else:
-            manager.discard(pool)
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken mid-shutdown
-                pass

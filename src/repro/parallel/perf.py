@@ -34,12 +34,11 @@ Writes ``BENCH_perf.json`` with these families of numbers:
   compiled batch planning vs per-victim scalar aiming, agreement
   checked lane for lane before any timing is believed, plus one timed
   campaign trial as the end-to-end cost anchor;
-* **environment** — CPU count, worker count, pool mode and batch size,
-  because a parallel speedup claim without the CPU count is
-  meaningless.
+* **environment** — CPU count, worker count and batch size, because
+  a parallel speedup claim without the CPU count is meaningless.
 
 Run with ``python -m repro.parallel.perf [--jobs N] [--batch-cells K]
-[--pool-mode MODE] [--out PATH]``.
+[--out PATH]``.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from repro.logutil import get_logger, setup_logging
 from repro.obs import tracing as obs
 from repro.parallel.grid import resolve_jobs
 
-__all__ = ["SEED_BASELINES", "run_perf", "main"]
+__all__ = ["SEED_BASELINES", "best_of", "run_perf", "main"]
 
 _LOG = get_logger("repro.perf")
 
@@ -89,7 +88,7 @@ _MICRO_POOL = 16384
 _SINGLE_RUN_PANEL = ("No.1", "No.3", "No.6", "No.9")
 
 
-def _best_of(callable_, repeats: int = 5) -> float:
+def best_of(callable_, repeats: int = 5) -> float:
     """Best-of-N wall-clock seconds (best, not mean: least noise)."""
     best = float("inf")
     for _ in range(repeats):
@@ -106,13 +105,13 @@ def _micro_benches() -> dict:
     mask = (1 << 14) | (1 << 17)
 
     current = {
-        "bank_of_array_us": _best_of(lambda: mapping.bank_of_array(pool)) * 1e6,
-        "row_of_array_us": _best_of(lambda: mapping.row_of_array(pool)) * 1e6,
-        "parity_array_us": _best_of(lambda: parity_array(pool, mask)) * 1e6,
+        "bank_of_array_us": best_of(lambda: mapping.bank_of_array(pool)) * 1e6,
+        "row_of_array_us": best_of(lambda: mapping.row_of_array(pool)) * 1e6,
+        "parity_array_us": best_of(lambda: parity_array(pool, mask)) * 1e6,
     }
     reference = {
-        "bank_of_array_us": _best_of(lambda: mapping.bank_of_array_popcount(pool)) * 1e6,
-        "row_of_array_us": _best_of(lambda: mapping.row_of_array_shift(pool)) * 1e6,
+        "bank_of_array_us": best_of(lambda: mapping.bank_of_array_popcount(pool)) * 1e6,
+        "row_of_array_us": best_of(lambda: mapping.row_of_array_shift(pool)) * 1e6,
     }
     return {
         "pool_size": _MICRO_POOL,
@@ -144,7 +143,7 @@ def _tracing_benches(machine_name: str = "No.1", repeats: int = 3) -> dict:
         machine = SimulatedMachine.from_preset(preset(machine_name), seed=1)
         DramDig().run(machine)
 
-    untraced = _best_of(run_once, repeats=repeats)
+    untraced = best_of(run_once, repeats=repeats)
 
     tracer = obs.Tracer()
 
@@ -154,7 +153,7 @@ def _tracing_benches(machine_name: str = "No.1", repeats: int = 3) -> dict:
         with obs.activate(tracer):
             run_once()
 
-    traced = _best_of(run_traced, repeats=repeats)
+    traced = best_of(run_traced, repeats=repeats)
     phases: dict[str, dict] = {}
     for span in tracer.spans:
         if span.path.count("/") != 2:
@@ -196,7 +195,7 @@ def _obs_benches(machine_name: str = "No.1", repeats: int = 3) -> dict:
         machine = SimulatedMachine.from_preset(preset(machine_name), seed=1)
         DramDig().run(machine)
 
-    off = _best_of(run_once, repeats=repeats)
+    off = best_of(run_once, repeats=repeats)
 
     with tempfile.TemporaryDirectory(prefix="dramdig-obs-perf-") as scratch:
         stream = Path(scratch) / "run.jsonl"
@@ -205,7 +204,7 @@ def _obs_benches(machine_name: str = "No.1", repeats: int = 3) -> dict:
             with telemetry.activate_bus(telemetry.TelemetryBus(stream)):
                 run_once()
 
-        on = _best_of(run_streamed, repeats=repeats)
+        on = best_of(run_streamed, repeats=repeats)
         events_per_run = len(telemetry.load_events(stream)) // repeats
 
         plain = render_table1(run_table1(seed=1, machines=(machine_name,)))
@@ -279,8 +278,8 @@ def _single_run_benches(
             "runs must be bit-identical"
         )
 
-    batched = _best_of(lambda: run_panel(batched_config), repeats=repeats)
-    stepwise = _best_of(lambda: run_panel(stepwise_config), repeats=repeats)
+    batched = best_of(lambda: run_panel(batched_config), repeats=repeats)
+    stepwise = best_of(lambda: run_panel(stepwise_config), repeats=repeats)
     return {
         "machines": list(machines),
         "batched_seconds": batched,
@@ -309,7 +308,7 @@ def _translation_benches(machine_name: str = "No.2") -> dict:
     from repro.dram.mapping import DramAddress
 
     mapping = preset(machine_name).mapping
-    compile_seconds = _best_of(
+    compile_seconds = best_of(
         lambda: CompiledMapping.from_mapping(mapping), repeats=3
     )
     compiled = mapping.compiled
@@ -339,12 +338,12 @@ def _translation_benches(machine_name: str = "No.2") -> dict:
             "batch kernels must be bit-identical"
         )
 
-    translate_seconds = _best_of(lambda: compiled.translate(pool))
+    translate_seconds = best_of(lambda: compiled.translate(pool))
     full_banks, full_rows, full_columns = compiled.translate(pool)
-    encode_seconds = _best_of(
+    encode_seconds = best_of(
         lambda: compiled.encode(full_banks, full_rows, full_columns)
     )
-    scalar_seconds = _best_of(
+    scalar_seconds = best_of(
         lambda: [mapping.dram_address(int(addr)) for addr in sample], repeats=3
     )
     scalar_rate = sample.size / scalar_seconds
@@ -366,7 +365,6 @@ def _grid_benches(
     jobs: int,
     machines: tuple[str, ...],
     batch_cells: int | None,
-    pool_mode: str,
     single_cpu: bool,
 ) -> dict:
     def timed(callable_):
@@ -374,7 +372,7 @@ def _grid_benches(
         value = callable_()
         return value, time.perf_counter() - start
 
-    parallel_kwargs = dict(jobs=jobs, batch_cells=batch_cells, pool_mode=pool_mode)
+    parallel_kwargs = dict(jobs=jobs, batch_cells=batch_cells)
     table1_serial_result, table1_serial = timed(
         lambda: run_table1(seed=1, machines=machines)
     )
@@ -394,13 +392,12 @@ def _grid_benches(
     if not bit_identical:
         raise RuntimeError(
             "parallel grid diverged from serial: artefacts must be "
-            "byte-identical regardless of jobs/batch-cells/pool-mode"
+            "byte-identical regardless of jobs/batch-cells"
         )
     record = {
         "machines": list(machines),
         "jobs": jobs,
         "batch_cells": batch_cells,
-        "pool_mode": pool_mode,
         "table1_serial_seconds": table1_serial,
         "table1_parallel_seconds": table1_parallel,
         "figure2_serial_seconds": figure2_serial,
@@ -427,7 +424,6 @@ def run_perf(
     machines: tuple[str, ...] = TABLE2_ORDER,
     out: str | Path | None = "BENCH_perf.json",
     batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> dict:
     """Measure micro, single-run and grid performance; write the record."""
     cpus = os.cpu_count() or 1
@@ -441,7 +437,6 @@ def run_perf(
             "cpu_count": cpus,
             "single_cpu": single_cpu,
             "jobs": workers,
-            "pool_mode": pool_mode,
             "batch_cells": batch_cells,
             "note": (
                 "parallel speedup requires cpu_count > 1; on a single-CPU "
@@ -455,7 +450,7 @@ def run_perf(
         "single_run": _single_run_benches(),
         "tracing": _tracing_benches(),
         "obs": _obs_benches(),
-        "grid": _grid_benches(workers, machines, batch_cells, pool_mode, single_cpu),
+        "grid": _grid_benches(workers, machines, batch_cells, single_cpu),
     }
     # Measured last: the million-address pools would otherwise perturb
     # the cache/frequency state the earlier A/B sections were tuned on.
@@ -492,11 +487,6 @@ def main(argv: list[str] | None = None) -> int:
         "parallel grid runs (default: one cell per task)",
     )
     parser.add_argument(
-        "--pool-mode", choices=("persistent", "fresh"), default="persistent",
-        help="worker pool lifecycle for the parallel grid runs "
-        "(default persistent)",
-    )
-    parser.add_argument(
         "--out", default="BENCH_perf.json", metavar="PATH",
         help="output JSON path (default BENCH_perf.json)",
     )
@@ -511,7 +501,6 @@ def main(argv: list[str] | None = None) -> int:
         machines=tuple(args.machines),
         out=args.out,
         batch_cells=args.batch_cells,
-        pool_mode=args.pool_mode,
     )
     grid = record["grid"]
     micro = record["micro"]

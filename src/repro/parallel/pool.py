@@ -1,10 +1,9 @@
 """Persistent warmed worker pools shared across grid dispatches.
 
 Spawning a worker process costs a fresh interpreter plus the whole
-``repro`` import chain — tens to hundreds of milliseconds — and the
-historical runners paid it on *every* ``run_cells`` call: a CLI command
-that renders three artefacts spawned (and discarded) three pools.  This
-module makes that cost once-per-process:
+``repro`` import chain — tens to hundreds of milliseconds.  Paid per
+grid, a CLI command that renders three artefacts would spawn (and
+discard) three pools.  This module makes that cost once-per-process:
 
 * :class:`PoolManager` keeps one warmed :class:`ProcessPoolExecutor`
   per ``(start_method, workers)`` shape and leases it out to grid
@@ -31,7 +30,7 @@ Determinism is unaffected by reuse.  Cells are pure functions of their
 payloads (every seed ships in the payload), so whether two cells run in
 one long-lived worker or two fresh ones cannot change a single byte of
 any result; ``tests/evalsuite/test_pool.py`` pins this by running the
-same cells through persistent and fresh pools.
+same cells serially and through a reused pool.
 """
 
 from __future__ import annotations
@@ -41,14 +40,11 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
 __all__ = [
-    "POOL_MODES",
     "PoolManager",
     "get_pool_manager",
     "warm_worker",
     "worker_state",
 ]
-
-POOL_MODES = ("persistent", "fresh")
 
 # Modules pre-imported by every warmed worker. The list is the import
 # closure the evaluation cells actually touch; importing it here moves
@@ -108,28 +104,18 @@ class PoolManager:
 
     ``lease`` hands out a parked pool when one of the right shape exists
     and is healthy, else builds a fresh one; ``release`` parks it again.
-    A pool leased in ``"fresh"`` mode is never parked — release shuts it
-    down — which reproduces the historical spawn-per-dispatch behaviour
-    for benchmarking and for callers that must not share workers.
     """
 
     def __init__(self) -> None:
         self._parked: dict[tuple[str, int], ProcessPoolExecutor] = {}
-        self._modes: dict[int, str] = {}
+        # ids of pools currently out on lease; only these may be parked
+        self._leased: set[int] = set()
 
     # ------------------------------------------------------------- lifecycle
 
-    def lease(
-        self,
-        workers: int,
-        start_method: str,
-        mode: str = "persistent",
-    ) -> ProcessPoolExecutor:
+    def lease(self, workers: int, start_method: str) -> ProcessPoolExecutor:
         """A warmed pool of exactly ``workers`` workers, ready to submit to."""
-        if mode not in POOL_MODES:
-            raise ValueError(f"pool mode must be one of {POOL_MODES}, got {mode!r}")
-        key = (start_method, workers)
-        pool = self._parked.pop(key, None) if mode == "persistent" else None
+        pool = self._parked.pop((start_method, workers), None)
         if pool is not None and _pool_broken(pool):
             _shutdown_pool(pool)
             pool = None
@@ -139,18 +125,19 @@ class PoolManager:
                 mp_context=get_context(start_method),
                 initializer=warm_worker,
             )
-        self._modes[id(pool)] = mode
+        self._leased.add(id(pool))
         return pool
 
     def release(self, pool: ProcessPoolExecutor, start_method: str, workers: int) -> None:
-        """Return a leased pool: park it (persistent) or shut it down (fresh).
+        """Return a leased pool: park it for the next dispatch of its shape.
 
-        A broken pool must go through :meth:`discard` instead; release
-        detects breakage defensively and discards rather than parking a
+        A broken or discarded pool must not be parked; release detects
+        both defensively and shuts the pool down rather than parking a
         corpse for the next caller to trip over.
         """
-        mode = self._modes.pop(id(pool), "fresh")
-        if mode != "persistent" or _pool_broken(pool):
+        leased = id(pool) in self._leased
+        self._leased.discard(id(pool))
+        if not leased or _pool_broken(pool):
             _shutdown_pool(pool)
             return
         previous = self._parked.get((start_method, workers))
@@ -160,14 +147,14 @@ class PoolManager:
 
     def discard(self, pool: ProcessPoolExecutor) -> None:
         """Forget a leased pool without parking it (caller kills it)."""
-        self._modes.pop(id(pool), None)
+        self._leased.discard(id(pool))
 
     def shutdown_all(self) -> None:
         """Shut down every parked pool (interpreter exit / test teardown)."""
         for pool in list(self._parked.values()):
             _shutdown_pool(pool)
         self._parked.clear()
-        self._modes.clear()
+        self._leased.clear()
 
     # ------------------------------------------------------------ inspection
 

@@ -1,12 +1,11 @@
-"""Supervised grid runner: worker death, hangs and interrupts degrade, not abort.
+"""The grid engine: worker death, hangs and interrupts degrade, not abort.
 
-:func:`repro.parallel.grid.run_cells` is fail-fast by design — the first
-cell error aborts the run and a dead worker raises
-``BrokenProcessPool``, discarding every already-completed cell. This
-module is the crash-safe alternative for long evaluation sweeps:
+:func:`run_cells_supervised` is the one runner behind every evaluation
+grid (:func:`repro.evalsuite.gridrun.execute_grid` calls it for
+supervised and plain runs alike), serial or pooled:
 
-* **per-cell futures** instead of ``pool.map``, so one cell's fate never
-  decides its neighbours';
+* **per-cell futures**, so one cell's fate never decides its
+  neighbours';
 * **worker-death detection** — a worker killed by the OS (OOM, segfault,
   ``kill -9``) breaks the pool; the supervisor harvests every result that
   completed before the death, respawns the pool, and resubmits the
@@ -29,8 +28,8 @@ partial success is a first-class outcome, and the evaluation renderers
 print ``FAILED(reason)`` cells plus a failure manifest instead of
 crashing. Determinism is preserved because cells are pure functions of
 their payloads and results still reassemble in submission order — a
-supervised run (cold or resumed) renders byte-identical artefacts to
-the fail-fast serial run whenever every cell ultimately completes.
+supervised run (cold or resumed, serial or pooled) renders
+byte-identical artefacts whenever every cell ultimately completes.
 """
 
 from __future__ import annotations
@@ -84,17 +83,17 @@ _WARMUP_CELL = GridCell("repro.faults.gridfaults:echo_cell", {})
 _WARMUP_TIMEOUT_SECONDS = 60.0
 
 
-def _spawn_pool(workers: int, start_method: str, pool_mode: str) -> ProcessPoolExecutor:
+def _spawn_pool(workers: int, start_method: str) -> ProcessPoolExecutor:
     """Lease a pool and warm every worker (spawn + package import).
 
     Pools come from the process-wide
-    :class:`~repro.parallel.pool.PoolManager`; in ``"persistent"`` mode a
-    pool parked by an earlier dispatch is reused, its workers already
-    spawned and imported, and the echo warmups below complete in
-    microseconds.  Fresh workers pay the spawn here, once, so per-cell
-    timeouts measure cell execution rather than spawn + import cost.
+    :class:`~repro.parallel.pool.PoolManager`; a pool parked by an
+    earlier dispatch is reused, its workers already spawned and
+    imported, and the echo warmups below complete in microseconds.
+    Fresh workers pay the spawn here, once, so per-cell timeouts
+    measure cell execution rather than spawn + import cost.
     """
-    pool = get_pool_manager().lease(workers, start_method, pool_mode)
+    pool = get_pool_manager().lease(workers, start_method)
     warmups = [pool.submit(execute_cell, _WARMUP_CELL) for _ in range(workers)]
     for future in warmups:
         try:
@@ -237,24 +236,21 @@ def run_cells_supervised(
     policy: GridPolicy | None = None,
     journal: CheckpointJournal | str | Path | None = None,
     batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> GridOutcome:
     """Execute ``cells`` under supervision and return a :class:`GridOutcome`.
 
-    Unlike :func:`repro.parallel.grid.run_cells`, this never raises for a
-    cell failure, a dead worker, or an expired deadline — it returns
-    whatever completed plus structured failure records. With a
-    ``journal``, completed cells are checkpointed as they finish and
-    cells already present in the journal are skipped, so an interrupted
-    run resumed over the same journal re-executes only the missing cells
-    and still produces byte-identical artefacts.
+    This never raises for a cell failure, a dead worker, or an expired
+    deadline — it returns whatever completed plus structured failure
+    records. With a ``journal``, completed cells are checkpointed as
+    they finish and cells already present in the journal are skipped,
+    so an interrupted run resumed over the same journal re-executes only
+    the missing cells and still produces byte-identical artefacts.
 
     ``batch_cells`` > 1 ships chunks of consecutive cells as single pool
     tasks (first-wave submissions only — every retry, quarantine and
     timeout re-run goes solo so per-cell attribution semantics are
     unchanged); batch results are un-bundled into the same per-cell
     journal entries and result slots the unbatched run writes.
-    ``pool_mode`` selects persistent (reused, warmed) or fresh pools.
     """
     policy = policy if policy is not None else GridPolicy()
     if journal is not None and not isinstance(journal, CheckpointJournal):
@@ -338,7 +334,6 @@ def run_cells_supervised(
             failures,
             events,
             resolve_batch_cells(batch_cells),
-            pool_mode,
             report,
         )
 
@@ -368,7 +363,7 @@ def _failure(
 
 def _run_serial(
     cells, fingerprints, pending, workers, start_method, policy, checkpoint,
-    failures, events, batch_cells=1, pool_mode="persistent", report=None,
+    failures, events, batch_cells=1, report=None,
 ) -> None:
     """In-process supervised execution (no pool, no pickling).
 
@@ -449,7 +444,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def _run_pooled(
     cells, fingerprints, pending, workers, start_method, policy, checkpoint,
-    failures, events, batch_cells=1, pool_mode="persistent", report=None,
+    failures, events, batch_cells=1, report=None,
 ) -> None:
     """Pooled supervised execution with respawn-on-death and timeouts.
 
@@ -489,7 +484,7 @@ def _run_pooled(
     inflight: dict = {}  # future -> list of indices (the submitted group)
     started: dict = {}  # future -> monotonic time first observed running
     abandoned = False  # a still-running future was walked away from
-    pool = _spawn_pool(workers, start_method, pool_mode)
+    pool = _spawn_pool(workers, start_method)
 
     def fail(index: int, reason: str, detail: str) -> None:
         failures[index] = _failure(
@@ -521,7 +516,7 @@ def _run_pooled(
     def respawn(cause: str) -> None:
         nonlocal pool
         _kill_pool(pool)
-        pool = _spawn_pool(workers, start_method, pool_mode)
+        pool = _spawn_pool(workers, start_method)
         events.append(
             obs.note_event(
                 DegradationEvent(

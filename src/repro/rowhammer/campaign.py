@@ -396,7 +396,6 @@ def run_campaign(
     supervision: GridPolicy | None = None,
     journal: CheckpointJournal | str | Path | None = None,
     batch_cells: int | None = None,
-    pool_mode: str = "persistent",
 ) -> CampaignOutcome:
     """Run the sweep through the shared grid dispatch seam.
 
@@ -434,7 +433,7 @@ def run_campaign(
     results = execute_grid(
         cells, jobs=jobs, start_method=start_method,
         supervision=supervision, journal=journal,
-        batch_cells=batch_cells, pool_mode=pool_mode,
+        batch_cells=batch_cells,
     )
     completed = sum(1 for r in results if isinstance(r, CampaignResult))
     _LOG.info(

@@ -23,12 +23,11 @@ end-to-end cost anchor for sizing sweeps (trials per wall second).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.dram.belief import BeliefMapping
 from repro.dram.presets import preset
+from repro.parallel.perf import best_of
 from repro.rowhammer.aggressors import CompiledAggressorPlanner
 
 __all__ = ["campaign_benches"]
@@ -36,16 +35,6 @@ __all__ = ["campaign_benches"]
 _PLAN_POOL = 200_000
 _SCALAR_SAMPLE = 2_000
 _AGREEMENT_SAMPLE = 4_096
-
-
-def _best_of(callable_, repeats: int = 5) -> float:
-    """Best-of-N wall-clock seconds (best, not mean: least noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _check_agreement(mapping, belief, planner, victims: np.ndarray) -> None:
@@ -99,7 +88,7 @@ def campaign_benches(machine_name: str = "No.2") -> dict:
     agreement[-16:] |= space
     _check_agreement(mapping, belief, planner, agreement)
 
-    plan_seconds = _best_of(lambda: planner.plan(pool))
+    plan_seconds = best_of(lambda: planner.plan(pool))
     sample = pool[:_SCALAR_SAMPLE]
 
     def scalar_aim():
@@ -107,7 +96,7 @@ def campaign_benches(machine_name: str = "No.2") -> dict:
             belief.aim_row_neighbor(int(victim), -1)
             belief.aim_row_neighbor(int(victim), +1)
 
-    scalar_seconds = _best_of(scalar_aim, repeats=3)
+    scalar_seconds = best_of(scalar_aim, repeats=3)
     planner_rate = _PLAN_POOL / plan_seconds
     scalar_rate = _SCALAR_SAMPLE / scalar_seconds
 
@@ -115,7 +104,7 @@ def campaign_benches(machine_name: str = "No.2") -> dict:
         machines=(machine_name,), variants=("double_sided",),
         mitigations=("none",), tests=1, duration_seconds=30.0,
     )
-    trial_seconds = _best_of(
+    trial_seconds = best_of(
         lambda: campaign_trial_cell(
             "bench", machine_name, "double_sided", "none", 1, 0,
             spec.duration_seconds,

@@ -73,3 +73,35 @@ class TestReport:
         assert "## Table II — uncovered mappings" in report
         assert "## Determinism study" in report
         assert "Sandy Bridge" in report
+
+    def test_resumed_report_replays_determinism_cells(self, tmp_path):
+        """The determinism study goes through the grid seam: a second
+        report over the same journal renders the same bytes and serves
+        every determinism cell from the journal."""
+        from repro.evalsuite.report import ReportConfig, generate_report
+        from repro.obs import tracing
+        from repro.rowhammer.hammer import HammerConfig
+
+        config = ReportConfig(
+            seed=1,
+            machines=("No.1",),
+            hammer_machines=("No.1",),
+            hammer_tests=1,
+            determinism_runs=2,
+            determinism_machine="No.4",
+            dramdig=FAST_DRAMDIG,
+            drama=FAST_DRAMA,
+            hammer=HammerConfig(duration_seconds=20.0),
+            journal=str(tmp_path / "report.journal"),
+        )
+        first = generate_report(config)
+        tracer = tracing.Tracer()
+        with tracing.activate(tracer):
+            second = generate_report(config)
+        assert second == first
+
+        grid = next(s for s in tracer.spans if s.name == "grid:determinism")
+        cells = [s for s in tracer.spans if s.parent_id == grid.span_id]
+        assert len(cells) == 4
+        assert all(span.status == "cached" for span in cells)
+        assert grid.attrs["cached"] == 4

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from repro.evalsuite.figure2 import run_figure2
+from repro.evalsuite.gridrun import execute_grid
 from repro.evalsuite.table1 import render_table1, run_table1
+from repro.faults.gridfaults import invocations
 from repro.parallel import (
     CellExecutionError,
     GridCell,
     execute_cell,
     fingerprint_cell,
     resolve_jobs,
-    run_cells,
 )
 
 
@@ -114,27 +115,75 @@ class TestExecuteCell:
             cell,
         ]
         with pytest.raises(CellExecutionError) as excinfo:
-            run_cells(cells, jobs=2)
+            execute_grid(cells, jobs=2)
         assert cell.task in str(excinfo.value)
 
 
 class TestRunCells:
+    """The unsupervised grid seam returns results in submission order."""
+
     def test_serial_preserves_order(self):
         cells = [
             GridCell("repro.analysis.bits:parity", {"value": value})
             for value in (0b0, 0b1, 0b11, 0b111)
         ]
-        assert run_cells(cells) == [0, 1, 0, 1]
+        assert execute_grid(cells) == [0, 1, 0, 1]
 
     def test_empty_input(self):
-        assert run_cells([]) == []
+        assert execute_grid([]) == []
 
     def test_parallel_preserves_order(self):
         cells = [
             GridCell("repro.analysis.bits:parity", {"value": value})
             for value in range(8)
         ]
-        assert run_cells(cells, jobs=4) == [run_cells([cell])[0] for cell in cells]
+        assert execute_grid(cells, jobs=4) == [execute_cell(cell) for cell in cells]
+
+
+class TestFailFastGrid:
+    """Without a policy or journal, the first failed cell is raised."""
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_first_failing_cell_is_raised_by_name(self, tmp_path, jobs):
+        first = GridCell(
+            "repro.faults.gridfaults:flaky_cell",
+            {"scratch": str(tmp_path), "key": "first", "fail_times": 99},
+        )
+        second = GridCell(
+            "repro.faults.gridfaults:flaky_cell",
+            {"scratch": str(tmp_path), "key": "second", "fail_times": 99},
+        )
+        cells = [GridCell("repro.analysis.bits:parity", {"value": 1}), first, second]
+        with pytest.raises(CellExecutionError) as excinfo:
+            execute_grid(cells, jobs=jobs)
+        message = str(excinfo.value)
+        assert first.task in message
+        assert fingerprint_cell(first)[:12] in message
+        assert fingerprint_cell(second)[:12] not in message
+
+    def test_serial_run_finishes_the_grid_before_raising(self, tmp_path):
+        cells = [
+            GridCell(
+                "repro.faults.gridfaults:flaky_cell",
+                {"scratch": str(tmp_path), "key": "boom", "fail_times": 99},
+            ),
+            GridCell(
+                "repro.faults.gridfaults:counting_cell",
+                {"scratch": str(tmp_path), "key": "after", "value": 7},
+            ),
+        ]
+        with pytest.raises(CellExecutionError):
+            execute_grid(cells)
+        assert invocations(tmp_path, "after") == 1
+
+    def test_worker_death_surfaces_as_cell_error(self):
+        poison = GridCell("repro.faults.gridfaults:poison_cell", {})
+        cells = [GridCell("repro.analysis.bits:parity", {"value": 1}), poison]
+        with pytest.raises(CellExecutionError) as excinfo:
+            execute_grid(cells, jobs=2)
+        message = str(excinfo.value)
+        assert poison.task in message
+        assert "worker-death" in message
 
 
 class TestCrossProcessIdentity:

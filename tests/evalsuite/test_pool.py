@@ -1,10 +1,10 @@
 """Cross-process regressions for pool reuse and cell batching.
 
-The promise under test: ``--pool-mode`` and ``--batch-cells`` change how
-grid work is *shipped* — pool lifetimes, tasks per submission — and
-never the bytes of any artefact, journal entry or merged trace. Every
-test here compares a persistent/fresh/batched run against the serial
-run of the same cells.
+The promise under test: pool reuse and ``--batch-cells`` change how grid
+work is *shipped* — pool lifetimes, tasks per submission — and never the
+bytes of any artefact, journal entry or merged trace. Every test here
+compares a pooled or batched run against the serial run of the same
+cells.
 """
 
 from repro.evalsuite.gridrun import execute_grid
@@ -14,8 +14,8 @@ from repro.obs import tracing as obs
 from repro.parallel import (
     GridCell,
     GridPolicy,
+    execute_cell,
     get_pool_manager,
-    run_cells,
     run_cells_supervised,
 )
 
@@ -26,6 +26,10 @@ def _parity_cells(values):
     ]
 
 
+def _serial(cells):
+    return [execute_cell(cell) for cell in cells]
+
+
 def _counting_cell(tmp_path, key, value):
     return GridCell(
         "repro.faults.gridfaults:counting_cell",
@@ -34,36 +38,28 @@ def _counting_cell(tmp_path, key, value):
 
 
 class TestPoolModeIdentity:
-    def test_persistent_and_fresh_match_serial(self):
+    def test_persistent_pool_matches_serial(self):
         cells = _parity_cells(range(8))
-        serial = run_cells(cells)
-        assert run_cells(cells, jobs=2, pool_mode="persistent") == serial
-        assert run_cells(cells, jobs=2, pool_mode="fresh") == serial
+        assert execute_grid(cells, jobs=2) == _serial(cells)
 
     def test_persistent_pool_is_reused_across_dispatches(self):
         cells = _parity_cells(range(4))
-        run_cells(cells, jobs=2, pool_mode="persistent")
+        execute_grid(cells, jobs=2)
         manager = get_pool_manager()
         parked = dict(manager._parked)
-        assert parked, "a persistent dispatch must park its pool"
-        run_cells(cells, jobs=2, pool_mode="persistent")
+        assert parked, "a pooled dispatch must park its pool"
+        execute_grid(cells, jobs=2)
         # the second dispatch reused the parked pool instead of building
         # (and parking) another one
         assert dict(manager._parked) == parked
-
-    def test_fresh_mode_does_not_touch_the_parked_registry(self):
-        manager = get_pool_manager()
-        before = dict(manager._parked)
-        run_cells(_parity_cells(range(4)), jobs=2, pool_mode="fresh")
-        assert dict(manager._parked) == before
 
 
 class TestBatchedDispatchIdentity:
     def test_batched_matches_serial_for_every_chunking(self):
         cells = _parity_cells(range(10))
-        serial = run_cells(cells)
+        serial = _serial(cells)
         for batch in (2, 3, 10, 32):
-            assert run_cells(cells, jobs=2, batch_cells=batch) == serial
+            assert execute_grid(cells, jobs=2, batch_cells=batch) == serial
 
     def test_table1_batched_byte_identical_to_serial(self):
         serial = render_table1(
@@ -100,7 +96,7 @@ class TestSupervisedBatching:
         cells = _parity_cells(range(9))
         outcome = run_cells_supervised(cells, jobs=2, batch_cells=3)
         assert outcome.complete
-        assert outcome.results == run_cells(cells)
+        assert outcome.results == _serial(cells)
 
     def test_error_inside_a_batch_fails_alone(self, tmp_path):
         cells = (
@@ -117,7 +113,7 @@ class TestSupervisedBatching:
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "error"
         survivors = [r for i, r in enumerate(outcome.results) if i != 2]
-        assert survivors == run_cells(_parity_cells([1, 2, 4, 7]))
+        assert survivors == _serial(_parity_cells([1, 2, 4, 7]))
 
     def test_mid_batch_worker_death_spares_batchmates(self):
         """A poison cell inside a batch fails alone; batchmates complete.
@@ -136,7 +132,7 @@ class TestSupervisedBatching:
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "worker-death"
         survivors = [r for i, r in enumerate(outcome.results) if i != 2]
-        assert survivors == run_cells(_parity_cells([1, 2, 4, 7]))
+        assert survivors == _serial(_parity_cells([1, 2, 4, 7]))
 
     def test_resume_after_mid_batch_kill_is_byte_identical(self, tmp_path):
         """Journalled batchmates of a killed batch are not re-executed.
@@ -207,5 +203,5 @@ class TestSupervisedBatching:
         )
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "timeout"
-        assert outcome.results[:2] == run_cells(_parity_cells([1, 2]))
+        assert outcome.results[:2] == _serial(_parity_cells([1, 2]))
         assert any(e.action == "timeout" for e in outcome.events)

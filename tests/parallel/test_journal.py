@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.parallel import CheckpointJournal, GridCell, fingerprint_cell
+from repro.parallel import CheckpointJournal, GridCell, execute_cell, fingerprint_cell
+from repro.parallel.grid import OBS_KEY
 from repro.parallel.journal import JOURNAL_FORMAT
 
 
@@ -46,6 +47,17 @@ class TestFingerprint:
              "drama_config": DramaConfig()},
         )
         assert fingerprint_cell(one) == fingerprint_cell(two)
+
+    def test_obs_hook_is_excluded_and_stripped(self, tmp_path):
+        """The one reserved hook key neither changes the fingerprint nor
+        reaches the task function (which would reject an unknown kwarg)."""
+        plain = GridCell("repro.analysis.bits:parity", {"value": 6})
+        hooked = GridCell(
+            "repro.analysis.bits:parity",
+            {"value": 6, OBS_KEY: {"telemetry": str(tmp_path / "stream.jsonl")}},
+        )
+        assert fingerprint_cell(hooked) == fingerprint_cell(plain)
+        assert execute_cell(hooked) == execute_cell(plain)
 
 
 class TestCheckpointJournal:

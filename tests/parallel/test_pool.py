@@ -9,7 +9,6 @@ bit-identity guarantees are pinned in ``tests/evalsuite/test_pool.py``.
 import pytest
 
 from repro.parallel import (
-    POOL_MODES,
     GridCell,
     PoolManager,
     chunk_indices,
@@ -30,13 +29,6 @@ def manager():
 
 
 class TestPoolManager:
-    def test_modes_constant(self):
-        assert POOL_MODES == ("persistent", "fresh")
-
-    def test_invalid_mode_rejected(self, manager):
-        with pytest.raises(ValueError, match="pool mode"):
-            manager.lease(2, DEFAULT_START_METHOD, mode="warm")
-
     def test_release_parks_and_lease_reuses(self, manager):
         pool = manager.lease(2, DEFAULT_START_METHOD)
         assert manager.parked_count == 0
@@ -44,21 +36,6 @@ class TestPoolManager:
         assert manager.parked_count == 1
         assert manager.lease(2, DEFAULT_START_METHOD) is pool
         manager.release(pool, DEFAULT_START_METHOD, 2)
-
-    def test_fresh_mode_never_parks(self, manager):
-        pool = manager.lease(2, DEFAULT_START_METHOD, mode="fresh")
-        manager.release(pool, DEFAULT_START_METHOD, 2)
-        assert manager.parked_count == 0
-
-    def test_fresh_lease_leaves_parked_pool_alone(self, manager):
-        parked = manager.lease(2, DEFAULT_START_METHOD)
-        manager.release(parked, DEFAULT_START_METHOD, 2)
-        fresh = manager.lease(2, DEFAULT_START_METHOD, mode="fresh")
-        assert fresh is not parked
-        manager.release(fresh, DEFAULT_START_METHOD, 2)
-        assert manager.parked_count == 1
-        assert manager.lease(2, DEFAULT_START_METHOD) is parked
-        manager.release(parked, DEFAULT_START_METHOD, 2)
 
     def test_shapes_do_not_collide(self, manager):
         two = manager.lease(2, DEFAULT_START_METHOD)

@@ -13,7 +13,7 @@ from repro.parallel import (
     GridCell,
     GridError,
     GridPolicy,
-    run_cells,
+    execute_cell,
     run_cells_supervised,
 )
 
@@ -22,6 +22,10 @@ def _parity_cells(values):
     return [
         GridCell("repro.analysis.bits:parity", {"value": value}) for value in values
     ]
+
+
+def _serial(cells):
+    return [execute_cell(cell) for cell in cells]
 
 
 class TestGridPolicy:
@@ -60,7 +64,7 @@ class TestSerialSupervised:
         outcome = run_cells_supervised(cells)
         assert outcome.complete
         assert not outcome.degraded
-        assert outcome.results == run_cells(cells)
+        assert outcome.results == _serial(cells)
 
     def test_empty_input(self):
         outcome = run_cells_supervised([])
@@ -174,7 +178,7 @@ class TestPooledSupervised:
         cells = _parity_cells(list(range(8)))
         outcome = run_cells_supervised(cells, jobs=2)
         assert outcome.complete
-        assert outcome.results == run_cells(cells)
+        assert outcome.results == _serial(cells)
 
     def test_worker_death_is_contained(self):
         """A cell that kills its worker fails alone; the run survives.
@@ -192,7 +196,7 @@ class TestPooledSupervised:
         outcome = run_cells_supervised(cells, jobs=2)
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "worker-death"
-        expected = run_cells(_parity_cells([1, 2, 4, 7]))
+        expected = _serial(_parity_cells([1, 2, 4, 7]))
         survivors = [r for i, r in enumerate(outcome.results) if i != 2]
         assert survivors == expected
         respawns = [e for e in outcome.events if e.action == "respawn"]
@@ -219,5 +223,5 @@ class TestPooledSupervised:
         outcome = run_cells_supervised(cells, jobs=2, policy=policy)
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "timeout"
-        assert outcome.results[:2] == run_cells(_parity_cells([1, 2]))
+        assert outcome.results[:2] == _serial(_parity_cells([1, 2]))
         assert any(e.action == "timeout" for e in outcome.events)

@@ -108,7 +108,7 @@ def test_grid_flags_build_supervision(monkeypatch, capsys):
     seen = {}
 
     def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
+        seed, jobs, supervision, journal, batch_cells=None
     ):
         seen.update(
             seed=seed, jobs=jobs, supervision=supervision, journal=journal
@@ -139,12 +139,6 @@ def test_batch_cells_rejects_non_positive(capsys):
     assert "--batch-cells" in capsys.readouterr().err
 
 
-def test_pool_mode_rejects_unknown_choice(capsys):
-    with pytest.raises(SystemExit):
-        main(["table1", "--pool-mode", "warm"])
-    assert "--pool-mode" in capsys.readouterr().err
-
-
 def test_batching_flags_reach_the_runner(monkeypatch, capsys):
     import repro.cli as cli
     from repro.evalsuite.table1 import ToolVerdict
@@ -152,9 +146,9 @@ def test_batching_flags_reach_the_runner(monkeypatch, capsys):
     seen = {}
 
     def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
+        seed, jobs, supervision, journal, batch_cells=None
     ):
-        seen.update(batch_cells=batch_cells, pool_mode=pool_mode)
+        seen.update(batch_cells=batch_cells)
         return [
             ToolVerdict(
                 tool="DRAMDig", generic=True, efficient=True,
@@ -164,12 +158,10 @@ def test_batching_flags_reach_the_runner(monkeypatch, capsys):
         ]
 
     monkeypatch.setattr(cli, "run_table1", fake_run_table1)
-    assert main(["table1", "--batch-cells", "3", "--pool-mode", "fresh"]) == 0
+    assert main(["table1", "--batch-cells", "3"]) == 0
     assert seen["batch_cells"] == 3
-    assert seen["pool_mode"] == "fresh"
     assert main(["table1"]) == 0
     assert seen["batch_cells"] is None
-    assert seen["pool_mode"] == "persistent"
 
 
 def test_resume_alone_enables_supervision(monkeypatch, capsys):
@@ -179,7 +171,7 @@ def test_resume_alone_enables_supervision(monkeypatch, capsys):
     seen = {}
 
     def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
+        seed, jobs, supervision, journal, batch_cells=None
     ):
         seen.update(supervision=supervision, journal=journal)
         return [
@@ -203,7 +195,7 @@ def test_default_grid_flags_keep_fail_fast_path(monkeypatch, capsys):
     seen = {}
 
     def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
+        seed, jobs, supervision, journal, batch_cells=None
     ):
         seen.update(supervision=supervision, journal=journal)
         return [
@@ -225,7 +217,7 @@ def test_partial_table1_exits_nonzero(monkeypatch, capsys):
     from repro.evalsuite.table1 import ToolVerdict
 
     def fake_run_table1(
-        seed, jobs, supervision, journal, batch_cells=None, pool_mode="persistent"
+        seed, jobs, supervision, journal, batch_cells=None
     ):
         return [
             ToolVerdict(
