@@ -8,9 +8,6 @@ parallel grid stops paying for itself or stops being exact:
   (``grid.parallel_bit_identical``) — the harness itself raises on
   divergence, so a record that reached disk without the flag is
   treated as a failure too;
-* the campaign-planner A/B must report identical results
-  (``single_run.results_identical``) and a batching speedup at or
-  above the recorded floor;
 * the compiled translation kernels must stay bit-identical to the
   scalar decode path (``translation.scalar_identity``) and sustain at
   least a million lookups per second in each direction;
@@ -38,6 +35,10 @@ parallel grid stops paying for itself or stops being exact:
   deterministic, so the floor can sit much closer to the measured value
   than the wall-clock floors do.
 
+A silent fallback from campaign measurement issue to stepwise calls is
+not a wall-clock floor here: it is a deterministic call-count test in
+the tier-1 suite (``tests/core/test_campaign.py::TestIssuePath``).
+
 Usage: ``python scripts/check_perf_gate.py [--bench BENCH_perf.json]
 [--run]``. With ``--run`` the harness is executed first (writing the
 record to ``--bench``); without it an existing record is checked.
@@ -50,12 +51,10 @@ import json
 import sys
 from pathlib import Path
 
-# Conservative floors, not targets: far enough below the recorded
-# numbers (batching 1.3x on the reference container, parallel speedup
-# ~0.8x jobs on multi-core hosts) that noise cannot trip them, close
-# enough that a real regression — a worker pool rebuilt per task, a
-# campaign quietly falling back to scalar — still does.
-BATCHING_SPEEDUP_FLOOR = 1.05
+# Conservative floor, not a target: far enough below the recorded
+# parallel speedup (~0.8x jobs on multi-core hosts) that noise cannot
+# trip it, close enough that a real regression — a worker pool rebuilt
+# per task — still does.
 PARALLEL_SPEEDUP_FLOOR = 1.3
 # The compiled GF(2) translation kernels sustain >20M lookups/s on the
 # reference container; one million per second is the point below which
@@ -85,25 +84,12 @@ def check_record(record: dict) -> list[str]:
     """Return the list of gate violations (empty = pass)."""
     problems = []
     grid = record.get("grid", {})
-    single = record.get("single_run", {})
     environment = record.get("environment", {})
 
     if grid.get("parallel_bit_identical") is not True:
         problems.append(
             "grid.parallel_bit_identical is not true: serial and parallel "
             "artefacts diverged"
-        )
-    if single.get("results_identical") is not True:
-        problems.append(
-            "single_run.results_identical is not true: campaign batching "
-            "changed a result"
-        )
-
-    batching = single.get("batching_speedup")
-    if batching is None or batching < BATCHING_SPEEDUP_FLOOR:
-        problems.append(
-            f"single_run.batching_speedup {batching} below floor "
-            f"{BATCHING_SPEEDUP_FLOOR}"
         )
 
     translation = record.get("translation", {})
@@ -228,14 +214,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perf gate: {problem}", file=sys.stderr)
     if not problems:
         grid = record.get("grid", {})
-        single = record.get("single_run", {})
         translation = record.get("translation", {})
         campaign = record.get("campaign", {})
         fleet = record.get("fleet", {})
         print(
             "perf gate: ok "
-            f"(batching {single.get('batching_speedup', float('nan')):.2f}x, "
-            f"translation "
+            f"(translation "
             f"{translation.get('translate_lookups_per_s', 0.0) / 1e6:.1f}M/s, "
             f"campaign planner "
             f"{campaign.get('planner_speedup_vs_scalar', float('nan')):.0f}x, "

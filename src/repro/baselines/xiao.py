@@ -186,12 +186,16 @@ class XiaoTool:
         row conflicts), as the original tool calibrated against known
         same-row accesses. Batched via measure_latency_pairs —
         bit-identical to the original per-pair loop."""
-        count = self.config.calibration_pairs
+        config = self.config
         bases = pages.sample_addresses(64, self._rng)
-        references = self._min_latency_pairs(machine, bases, bases ^ np.uint64(0x80))
-        bases = pages.sample_addresses(count, self._rng)
-        partners = pages.sample_addresses(count, self._rng)
-        samples = self._min_latency_pairs(machine, bases, partners)
+        references = machine.measure_latency_pairs(
+            bases, bases ^ np.uint64(0x80), config.rounds, config.measure_repeats
+        )
+        bases = pages.sample_addresses(config.calibration_pairs, self._rng)
+        partners = pages.sample_addresses(config.calibration_pairs, self._rng)
+        samples = machine.measure_latency_pairs(
+            bases, partners, config.rounds, config.measure_repeats
+        )
         try:
             return calibrate_threshold(references, samples)
         except ValueError as error:
@@ -202,23 +206,6 @@ class XiaoTool:
             machine.measure_latency(addr_a, addr_b, self.config.rounds)
             for _ in range(self.config.measure_repeats)
         )
-
-    def _min_latency_pairs(
-        self, machine, bases: np.ndarray, partners: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized min-of-repeats over many pairs.
-
-        Repeats are interleaved per pair (pair 0's repeats, then pair 1's,
-        ...), matching the measurement order — and therefore the machine's
-        noise-RNG stream — of a scalar :meth:`_min_latency` loop exactly.
-        """
-        repeats = self.config.measure_repeats
-        rep_bases = np.repeat(np.asarray(bases, dtype=np.uint64), repeats)
-        rep_partners = np.repeat(np.asarray(partners, dtype=np.uint64), repeats)
-        latencies = machine.measure_latency_pairs(
-            rep_bases, rep_partners, self.config.rounds
-        )
-        return latencies.reshape(-1, repeats).min(axis=1)
 
     def _measure(self, machine, pages, threshold, mask: int) -> bool:
         """Min-of-two measurement of a pair differing by ``mask``."""
@@ -282,7 +269,11 @@ class XiaoTool:
         config = self.config
         bases = pages.sample_addresses(config.verify_pairs, self._rng)
         partners = pages.sample_addresses(config.verify_pairs, self._rng)
-        measured = threshold.classify(self._min_latency_pairs(machine, bases, partners))
+        measured = threshold.classify(
+            machine.measure_latency_pairs(
+                bases, partners, config.rounds, config.measure_repeats
+            )
+        )
         agreements = 0
         for base, partner, is_slow in zip(bases, partners, measured):
             base, partner = int(base), int(partner)

@@ -60,13 +60,6 @@ class ProbeConfig:
             drift check before the heartbeat elapses.
         suspect_run_length: consecutive scalar slow reads that force an
             early drift check.
-        batch_probes: issue pending measurements as vectorized campaign
-            sweeps (:meth:`~repro.machine.machine.SimulatedMachine.
-            measure_latency_sweeps` / batched pair scans) instead of
-            step-by-step calls. Both paths are bit-identical in every
-            measured value, clock charge and counter — the flag exists so
-            the perf harness can price the stepwise path, not because the
-            results differ.
     """
 
     rounds: int = 4000
@@ -81,7 +74,6 @@ class ProbeConfig:
     drift_check_max_interval_s: float = 5.0
     suspect_slow_fraction: float = 0.9
     suspect_run_length: int = 8
-    batch_probes: bool = True
 
     def __post_init__(self) -> None:
         if self.rounds <= 0:
@@ -166,17 +158,23 @@ class LatencyProbe:
 
     def _fit_threshold(self, pages: PhysPages, rng: np.random.Generator) -> None:
         """One calibration pass: measure anchors + mixture, fit the cutoff."""
-        reference_count = self.config.reference_pairs
-        bases = pages.sample_addresses(reference_count, rng)
+        config = self.config
+        measure = self.machine.measure_latency_pairs
+        bases = pages.sample_addresses(config.reference_pairs, rng)
         # Flipping bit 7 stays within the page: never a row conflict.
-        references = self._measure_min_pairs(bases, bases ^ np.uint64(0x80))
-        count = self.config.calibration_pairs
-        mixed_bases = pages.sample_addresses(count, rng)
-        partners = pages.sample_addresses(count, rng)
-        samples = self._measure_min_pairs(mixed_bases, partners)
+        references = measure(
+            bases, bases ^ np.uint64(0x80), config.rounds, config.repeats
+        )
+        mixed_bases = pages.sample_addresses(config.calibration_pairs, rng)
+        partners = pages.sample_addresses(config.calibration_pairs, rng)
+        samples = measure(mixed_bases, partners, config.rounds, config.repeats)
+        obs.inc(
+            "probe.pair_measurements",
+            (config.reference_pairs + config.calibration_pairs) * config.repeats,
+        )
         try:
             self.threshold = calibrate_threshold(
-                references, samples, self.config.min_separation
+                references, samples, config.min_separation
             )
         except ValueError as error:
             raise CalibrationError(str(error)) from error
@@ -229,10 +227,12 @@ class LatencyProbe:
         self.drift_checks += 1
         obs.inc("probe.drift_checks")
         threshold = self.threshold
-        assert self._reference_bases is not None
-        references = self._measure_min_pairs(
-            self._reference_bases, self._reference_bases ^ np.uint64(0x80)
+        bases = self._reference_bases
+        assert bases is not None
+        references = self.machine.measure_latency_pairs(
+            bases, bases ^ np.uint64(0x80), self.config.rounds, self.config.repeats
         )
+        obs.inc("probe.pair_measurements", int(bases.size) * self.config.repeats)
         fast_now = float(np.median(references))
         delta = fast_now - threshold.fast_mode
         moved = abs(delta) / threshold.fast_mode
@@ -286,25 +286,6 @@ class LatencyProbe:
             )
         return latency
 
-    def _measure_min_pairs(self, bases: np.ndarray, partners: np.ndarray) -> np.ndarray:
-        """Min-of-repeats over many (base, partner) pairs at once.
-
-        Repeats are interleaved per pair so the machine's noise RNG is
-        consumed in exactly the order a scalar :meth:`_measure_min` loop
-        consumes it — batching changes simulator wall-clock only, never a
-        single measured value.
-        """
-        repeats = self.config.repeats
-        rep_bases = np.repeat(np.asarray(bases, dtype=np.uint64), repeats)
-        rep_partners = np.repeat(np.asarray(partners, dtype=np.uint64), repeats)
-        latencies = self.machine.measure_latency_pairs(
-            rep_bases, rep_partners, self.config.rounds
-        )
-        tracer = obs._ACTIVE
-        if tracer is not None:
-            tracer.metrics.inc("probe.pair_measurements", int(rep_bases.size))
-        return latencies.reshape(-1, repeats).min(axis=1)
-
     def is_conflict(self, addr_a: int, addr_b: int) -> bool:
         """Classify one pair: True = same bank, different row (slow)."""
         latency = self._measure_min(addr_a, addr_b)
@@ -327,12 +308,12 @@ class LatencyProbe:
         """Classify many distinct pairs in one measurement campaign.
 
         Bit-identical to ``[self.is_conflict(a, b) for a, b in pairs]`` —
-        :meth:`_measure_min_pairs` interleaves the repeats per pair, so the
-        machine's noise RNG, fault perturbations, clock charge and metrics
-        are consumed in exactly the scalar order. Falls back to the scalar
-        loop when campaign batching is disabled or the drift watch is armed
-        (the watch interleaves reference re-measurements between verdicts,
-        which a batch cannot reproduce).
+        :meth:`~repro.machine.machine.SimulatedMachine.measure_latency_pairs`
+        measures each pair's repeats back to back, so the machine's noise
+        RNG, fault perturbations, clock charge and metrics are consumed in
+        exactly the scalar order. Falls back to the scalar loop when the
+        drift watch is armed (the watch interleaves reference
+        re-measurements between verdicts, which a batch cannot reproduce).
         """
         pairs = list(pairs)
         if not pairs:
@@ -341,19 +322,20 @@ class LatencyProbe:
         # (measured crossover on the voted-scan sizes); since both paths
         # are bit-identical, small campaigns take the scalar loop purely
         # for speed. The drift watch forces it regardless of size.
-        if (
-            not self.config.batch_probes
-            or len(pairs) < 6
-            or self._watching_drift()
-        ):
+        if len(pairs) < 6 or self._watching_drift():
             return [self.is_conflict(a, b) for a, b in pairs]
         bases = np.fromiter((a for a, _ in pairs), dtype=np.uint64, count=len(pairs))
         partners = np.fromiter((b for _, b in pairs), dtype=np.uint64, count=len(pairs))
-        latencies = self._measure_min_pairs(bases, partners)
+        latencies = self.machine.measure_latency_pairs(
+            bases, partners, self.config.rounds, self.config.repeats
+        )
         threshold = self.require_threshold()
         verdicts = [bool(threshold.is_slow(latency)) for latency in latencies]
         tracer = obs._ACTIVE
         if tracer is not None:
+            tracer.metrics.inc(
+                "probe.pair_measurements", len(pairs) * self.config.repeats
+            )
             conflicts = sum(verdicts)
             tracer.metrics.inc("probe.verdicts.conflict", conflicts)
             tracer.metrics.inc("probe.verdicts.clear", len(verdicts) - conflicts)
@@ -369,23 +351,9 @@ class LatencyProbe:
         against the recalibrated cutoff — measurements are never wasted.
         """
         others = np.asarray(others, dtype=np.uint64)
-        if self.config.batch_probes:
-            # Campaign form: one decode, ``repeats`` sweeps — bit-identical
-            # to the stepwise loop below (pinned by the machine tests).
-            latencies = self.machine.measure_latency_sweeps(
-                base, others, self.config.rounds, self.config.repeats
-            )
-        else:
-            latencies = self.machine.measure_latency_batch(
-                base, others, self.config.rounds
-            )
-            for _ in range(self.config.repeats - 1):
-                latencies = np.minimum(
-                    latencies,
-                    self.machine.measure_latency_batch(
-                        base, others, self.config.rounds
-                    ),
-                )
+        latencies = self.machine.measure_latency_sweeps(
+            base, others, self.config.rounds, self.config.repeats
+        )
         mask = self.require_threshold().classify(latencies)
         tracer = obs._ACTIVE
         if tracer is not None:

@@ -6,8 +6,9 @@ must *not* read the memory controller's wiring. :class:`SimulatedMachine`
 enforces the same contract: tools interact only through
 
 * :meth:`allocate` / allocator variants — get physical pages,
-* :meth:`measure_latency` / :meth:`measure_latency_batch` — the timing
-  primitive (paper Section III-B), which charges the simulated clock,
+* :meth:`measure_latency` / :meth:`measure_latency_sweeps` /
+  :meth:`measure_latency_pairs` — the timing primitive (paper Section
+  III-B), which charges the simulated clock,
 * :meth:`sysinfo` / :meth:`dmidecode_text` — system information.
 
 The ground-truth mapping lives in ``_controller`` (underscore = private by
@@ -147,6 +148,10 @@ class SimulatedMachine:
         per-access latency. Charges the simulated clock with the hardware
         cost of doing so.
         """
+        # Every primitive validates before it draws noise, so a refused call
+        # leaves the RNG, clock and counters untouched.
+        if rounds <= 0:
+            raise ValueError("rounds must be positive")
         access_class = self._controller.classify_pair(addr_a, addr_b)
         is_conflict = access_class is AccessClass.ROW_CONFLICT
         latency = float(self._latency_model.sample_pair_ns(is_conflict, self._rng))
@@ -160,22 +165,8 @@ class SimulatedMachine:
     def measure_latency_batch(
         self, base: int, others: np.ndarray, rounds: int = DEFAULT_ROUNDS
     ) -> np.ndarray:
-        """Vectorized :meth:`measure_latency` of ``base`` against many
-        addresses — what a real tool does when it partitions an address pool
-        (one translation + flush setup per pair, so costs are identical to
-        the scalar loop, just computed in bulk here for simulator speed)."""
-        conflicts = self._controller.classify_pairs(base, others)
-        latencies = self._latency_model.sample_batch_ns(conflicts, self._rng)
-        if self.faults is not None:
-            latencies = self.faults.perturb(
-                latencies,
-                conflicts,
-                np.uint64(base),
-                np.asarray(others, dtype=np.uint64),
-                self.clock.elapsed_ns,
-            )
-        self._charge_measurements(latencies, rounds)
-        return latencies
+        """One sweep of :meth:`measure_latency_sweeps`."""
+        return self.measure_latency_sweeps(base, others, rounds)
 
     def measure_latency_sweeps(
         self,
@@ -184,17 +175,19 @@ class SimulatedMachine:
         rounds: int = DEFAULT_ROUNDS,
         sweeps: int = 1,
     ) -> np.ndarray:
-        """Element-wise minimum of ``sweeps`` batch measurements of ``base``
-        against ``others`` — the campaign form of the repeat-and-take-the-
-        minimum idiom every noise-suppressing scan uses.
+        """Measure ``base`` against every address in ``others``, ``sweeps``
+        times, and return the element-wise minimum — the repeat-and-take-
+        the-minimum idiom every noise-suppressing scan uses.
 
-        Bit-identical (latency values, noise-RNG stream, fault
-        perturbations, clock charge and stats counters) to ``sweeps``
-        consecutive :meth:`measure_latency_batch` calls reduced with
-        ``np.minimum``: classification is a pure decode with no RNG, so
-        hoisting it out of the sweep loop is a simulator-speed
-        transformation only. Pinned by ``tests/machine/test_machine.py``.
+        Each sweep is what a real tool does when it partitions an address
+        pool: one translation + flush setup per pair, so costs are those of
+        a scalar loop, just computed in bulk here for simulator speed.
+        Classification is a pure decode with no RNG, so it is hoisted out
+        of the sweep loop; noise draws, fault perturbations and clock
+        charges proceed sweep by sweep.
         """
+        if rounds <= 0:
+            raise ValueError("rounds must be positive")
         if sweeps <= 0:
             raise ValueError("sweeps must be positive")
         others = np.asarray(others, dtype=np.uint64)
@@ -214,17 +207,22 @@ class SimulatedMachine:
         return minimum
 
     def measure_latency_pairs(
-        self, bases: np.ndarray, partners: np.ndarray, rounds: int = DEFAULT_ROUNDS
+        self,
+        bases: np.ndarray,
+        partners: np.ndarray,
+        rounds: int = DEFAULT_ROUNDS,
+        repeats: int = 1,
     ) -> np.ndarray:
-        """Measure ``(bases[i], partners[i])`` pairs with distinct bases.
+        """Min-of-``repeats`` latency of each ``(bases[i], partners[i])`` pair.
 
-        Classification is vectorized (one decode pass over each array);
-        noise sampling and clock charging then proceed pair by pair in the
-        same order a scalar :meth:`measure_latency` loop would, so the
-        returned latencies, the simulated-clock charge, and the stats
-        counters are all bit-identical to that loop — it is purely a
-        simulator-speed transformation. Baseline tools use it to replace
-        their calibration/row-scan loops.
+        Each pair is measured ``repeats`` times back to back (pair 0's
+        repeats, then pair 1's, ...) and the minimum is kept. Classification
+        is vectorized (one decode pass over each array); noise sampling and
+        clock charging then proceed measurement by measurement in the order
+        a scalar :meth:`measure_latency` loop would, so the returned
+        latencies, the simulated-clock charge, and the stats counters are
+        all bit-identical to that loop — it is purely a simulator-speed
+        transformation.
         """
         bases = np.asarray(bases, dtype=np.uint64)
         partners = np.asarray(partners, dtype=np.uint64)
@@ -232,6 +230,11 @@ class SimulatedMachine:
             raise ValueError("bases and partners must have matching shapes")
         if rounds <= 0:
             raise ValueError("rounds must be positive")
+        if repeats <= 0:
+            raise ValueError("repeats must be positive")
+        if repeats > 1:
+            bases = np.repeat(bases, repeats)
+            partners = np.repeat(partners, repeats)
         conflicts = self._controller.classify_pairwise(bases, partners)
         count = int(bases.size)
         latencies = np.empty(bases.shape, dtype=np.float64)
@@ -262,6 +265,8 @@ class SimulatedMachine:
             latencies[index] = latency
         self.stats.measurements += count
         self.stats.accesses_timed += 2 * rounds * count
+        if repeats > 1:
+            latencies = latencies.reshape(-1, repeats).min(axis=1)
         return latencies
 
     def _charge_one(self, latency: float, rounds: int) -> None:
@@ -271,8 +276,6 @@ class SimulatedMachine:
         term for term (``count`` = 1), so scalar and batch paths account
         identically; pinned by ``tests/machine/test_machine.py``.
         """
-        if rounds <= 0:
-            raise ValueError("rounds must be positive")
         total = self._cost.setup_ns + rounds * (
             self._cost.per_round_ns + 2.0 * latency
         )
@@ -286,8 +289,6 @@ class SimulatedMachine:
         # returned to the tool); ``accesses_timed`` counts individual timed
         # DRAM accesses (2 addresses x ``rounds`` alternations per pair).
         # Each increments exactly once per charge.
-        if rounds <= 0:
-            raise ValueError("rounds must be positive")
         count = latencies.size
         pair_sum = 2.0 * float(latencies.sum())  # both addresses accessed per round
         total = count * self._cost.setup_ns + rounds * (

@@ -10,9 +10,7 @@ Writes ``BENCH_perf.json`` with these families of numbers:
   *speedup* columns are only emitted on multi-CPU hosts, because a
   single-CPU container's process pool cannot beat serial and the ratio
   would be noise dressed up as a result;
-* **single_run** — one DRAMDig run per panel machine with the
-  vectorized measurement-campaign planner on (the default) and off
-  (``batch_probes=False``), asserted bit-identical, next to the
+* **single_run** — one DRAMDig run per panel machine, next to the
   recorded seed panel baseline;
 * **translation** — batched phys↔DRAM lookup throughput of the compiled
   GF(2) matrix pair on a million-address pool, checked bit-identical
@@ -229,64 +227,23 @@ def _obs_benches(machine_name: str = "No.1", repeats: int = 3) -> dict:
     }
 
 
-def _single_run_signature(result) -> tuple:
-    """Everything observable about one run: mapping, accounting, clock."""
-    return (
-        tuple(sorted(result.mapping.bank_functions)),
-        result.mapping.row_bits,
-        result.mapping.column_bits,
-        result.measurements,
-        result.total_seconds,
-    )
-
-
 def _single_run_benches(
     machines: tuple[str, ...] = _SINGLE_RUN_PANEL, repeats: int = 3
 ) -> dict:
-    """Campaign-planner A/B: batched probe sweeps vs step-by-step.
-
-    The same panel runs with the vectorized measurement-campaign planner
-    on (``batch_probes=True``, the default) and off; both configurations
-    must produce identical mappings, measurement counts and simulated
-    clocks — the planner changes how probes are *issued*, never what
-    they measure. A mismatch is a correctness bug, so the bench raises
-    instead of reporting a speedup built on different work.
-    """
-    import dataclasses
-
-    from repro.core.dramdig import DramDig, DramDigConfig
+    """Best-of-N wall clock of one default DRAMDig run per panel machine."""
+    from repro.core.dramdig import DramDig
     from repro.machine.machine import SimulatedMachine
 
-    batched_config = DramDigConfig()
-    stepwise_config = dataclasses.replace(
-        batched_config,
-        probe=dataclasses.replace(batched_config.probe, batch_probes=False),
-    )
-
-    def run_panel(config):
-        signatures = []
+    def run_panel():
         for name in machines:
             machine = SimulatedMachine.from_preset(preset(name), seed=1)
-            signatures.append(_single_run_signature(DramDig(config).run(machine)))
-        return signatures
+            DramDig().run(machine)
 
-    batched_signatures = run_panel(batched_config)
-    stepwise_signatures = run_panel(stepwise_config)
-    if batched_signatures != stepwise_signatures:
-        raise RuntimeError(
-            "campaign batching changed a result: batched and stepwise "
-            "runs must be bit-identical"
-        )
-
-    batched = best_of(lambda: run_panel(batched_config), repeats=repeats)
-    stepwise = best_of(lambda: run_panel(stepwise_config), repeats=repeats)
+    batched = best_of(run_panel, repeats=repeats)
     return {
         "machines": list(machines),
         "batched_seconds": batched,
-        "stepwise_seconds": stepwise,
-        "batching_speedup": stepwise / batched,
         "speedup_vs_seed": SEED_BASELINES["single_run_panel_seconds"] / batched,
-        "results_identical": True,
     }
 
 
@@ -440,9 +397,9 @@ def run_perf(
             "batch_cells": batch_cells,
             "note": (
                 "parallel speedup requires cpu_count > 1; on a single-CPU "
-                "container the vectorised kernels and the campaign planner "
-                "carry the speedup and the parallel columns only "
-                "demonstrate bit-identity, not speed"
+                "container the vectorised kernels carry the speedup and "
+                "the parallel columns only demonstrate bit-identity, not "
+                "speed"
             ),
         },
         "seed_baselines": SEED_BASELINES,
@@ -532,12 +489,9 @@ def main(argv: list[str] | None = None) -> int:
             grid["jobs"],
         )
     _LOG.info(
-        "single run (%s): batched %.2fs vs stepwise %.2fs (%.2fx), "
-        "%.2fx vs seed panel, results identical",
+        "single run (%s): %.2fs, %.2fx vs seed panel",
         ",".join(single["machines"]),
         single["batched_seconds"],
-        single["stepwise_seconds"],
-        single["batching_speedup"],
         single["speedup_vs_seed"],
     )
     translation = record["translation"]

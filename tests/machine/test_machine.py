@@ -97,9 +97,31 @@ class TestMeasurement:
         assert machine.stats.accesses_timed == 2 * 10 * 3
 
     def test_invalid_rounds(self):
-        machine = quiet_machine()
-        with pytest.raises(ValueError):
-            machine.measure_latency(0, 64, rounds=0)
+        """Every primitive rejects a non-positive count before it draws
+        noise: the refused call leaves the RNG, clock and counters exactly
+        as on an untouched, identically-seeded twin."""
+        machine = SimulatedMachine.from_preset(preset("No.1"), seed=4)
+        twin = SimulatedMachine.from_preset(preset("No.1"), seed=4)
+        others = np.array([64, 4096, 1 << 20], dtype=np.uint64)
+        rejected = [
+            lambda: machine.measure_latency(0, 64, rounds=0),
+            lambda: machine.measure_latency_batch(0, others, rounds=0),
+            lambda: machine.measure_latency_sweeps(0, others, rounds=0),
+            lambda: machine.measure_latency_sweeps(0, others, rounds=10, sweeps=0),
+            lambda: machine.measure_latency_pairs(others, others ^ 64, rounds=0),
+            lambda: machine.measure_latency_pairs(
+                others, others ^ 64, rounds=10, repeats=0
+            ),
+        ]
+        for call in rejected:
+            with pytest.raises(ValueError, match="must be positive"):
+                call()
+            assert machine.measure_latency(0, 1 << 20, rounds=10) == (
+                twin.measure_latency(0, 1 << 20, rounds=10)
+            )
+            assert machine.clock.elapsed_ns == twin.clock.elapsed_ns
+            assert machine.stats.measurements == twin.stats.measurements
+            assert machine.stats.accesses_timed == twin.stats.accesses_timed
 
 
 class TestPairMeasurement:
@@ -125,6 +147,29 @@ class TestPairMeasurement:
         np.testing.assert_array_equal(batch, scalar)
         assert noisy.clock.elapsed_ns == reference.clock.elapsed_ns
         assert noisy.stats.measurements == reference.stats.measurements
+        assert noisy.stats.accesses_timed == reference.stats.accesses_timed
+
+    def test_repeats_equal_back_to_back_scalar_minimum(self):
+        """``repeats`` measures each pair back to back and keeps the
+        minimum, in a scalar loop's RNG order."""
+        rng = np.random.default_rng(8)
+        total = preset("No.1").mapping.geometry.total_bytes
+        bases = rng.integers(0, total, 40, dtype=np.uint64)
+        partners = rng.integers(0, total, 40, dtype=np.uint64)
+
+        noisy = SimulatedMachine.from_preset(preset("No.1"), seed=7)
+        batch = noisy.measure_latency_pairs(bases, partners, rounds=50, repeats=3)
+
+        reference = SimulatedMachine.from_preset(preset("No.1"), seed=7)
+        scalar = np.array(
+            [
+                min(reference.measure_latency(int(a), int(b), rounds=50) for _ in range(3))
+                for a, b in zip(bases, partners)
+            ]
+        )
+        np.testing.assert_array_equal(batch, scalar)
+        assert noisy.clock.elapsed_ns == reference.clock.elapsed_ns
+        assert noisy.stats.measurements == reference.stats.measurements == 120
         assert noisy.stats.accesses_timed == reference.stats.accesses_timed
 
     def test_shape_mismatch_rejected(self):
